@@ -81,6 +81,7 @@ impl CipherKernel for SimplifiedSafer {
     const OUTPUT_GRAIN: usize = 1;
     const NAME: &'static str = "simplified-saferk64";
 
+    #[inline(always)]
     fn encrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         m.fetch(self.code_enc);
         let b = unpack(unit, 8);
@@ -109,6 +110,7 @@ impl CipherKernel for SimplifiedSafer {
         pack(&out)
     }
 
+    #[inline(always)]
     fn decrypt_unit<M: Mem>(&self, m: &mut M, unit: u64) -> u64 {
         m.fetch(self.code_dec);
         let b = unpack(unit, 8);

@@ -39,6 +39,44 @@ impl StoreGrain {
             _ => StoreGrain::Word,
         }
     }
+
+    /// Store a whole exchange unit at `addr`, in wire order.
+    #[inline(always)]
+    pub fn store_unit<M: Mem>(self, m: &mut M, addr: usize, unit: &UnitBuf) {
+        match self {
+            StoreGrain::Byte => {
+                for i in 0..unit.words() {
+                    for (k, b) in unit.word(i).to_be_bytes().into_iter().enumerate() {
+                        m.write_u8(addr + 4 * i + k, b);
+                    }
+                }
+            }
+            StoreGrain::Word => {
+                for i in 0..unit.words() {
+                    m.write_u32_be(addr + 4 * i, unit.word(i));
+                }
+            }
+        }
+    }
+
+    /// Store the first `want` (at most 4) wire bytes of word `w` at
+    /// `addr`. A whole word at word grain is one write; anything else is
+    /// written byte by byte, and at word grain a partial word's byte
+    /// extraction is charged as `want` ALU operations.
+    #[inline(always)]
+    pub fn store_word<M: Mem>(self, m: &mut M, addr: usize, w: u32, want: usize) {
+        debug_assert!(want <= 4);
+        if self == StoreGrain::Word && want == 4 {
+            m.write_u32_be(addr, w);
+            return;
+        }
+        for (k, b) in w.to_be_bytes().into_iter().enumerate().take(want) {
+            m.write_u8(addr + k, b);
+        }
+        if self == StoreGrain::Word {
+            m.compute(want as u32);
+        }
+    }
 }
 
 /// Receives transformed exchange units — the single write of the ILP
@@ -69,20 +107,9 @@ impl LinearSink {
 }
 
 impl<M: Mem> UnitSink<M> for LinearSink {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
-        let base = self.addr + self.written;
-        match grain {
-            StoreGrain::Byte => {
-                for i in 0..unit.len() {
-                    m.write_u8(base + i, unit.byte(i));
-                }
-            }
-            StoreGrain::Word => {
-                for i in 0..unit.words() {
-                    m.write_u32_be(base + 4 * i, unit.word(i));
-                }
-            }
-        }
+        grain.store_unit(m, self.addr + self.written, unit);
         self.written += unit.len();
     }
 }
@@ -163,8 +190,10 @@ pub fn ilp_run<M: Mem>(
 
     let mut bytes = 0usize;
     let words_per_unit = le / 4;
+    // One exchange unit for the whole run: every iteration overwrites
+    // all of its words before the stages see it.
+    let mut unit = UnitBuf::new(le);
     'outer: loop {
-        let mut unit = UnitBuf::new(le);
         for i in 0..words_per_unit {
             match source.next_word(m) {
                 Some(w) => unit.set_word(i, w),

@@ -80,6 +80,7 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for EncryptStage<C> {
         C::UNIT
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
@@ -121,6 +122,7 @@ impl<M: Mem, C: CipherKernel> UnitStage<M> for DecryptStage<C> {
         C::UNIT
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         match C::UNIT {
             8 => {
@@ -174,6 +176,7 @@ impl<M: Mem> UnitStage<M> for ChecksumTap {
         2
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         for i in 0..unit.words() {
             self.sum.add_u32(unit.word(i));
@@ -240,6 +243,7 @@ impl<M: Mem, A: UnitStage<M>, B: UnitStage<M>> UnitStage<M> for Fused<A, B> {
         lcm(self.a.natural_unit(), self.b.natural_unit())
     }
 
+    #[inline(always)]
     fn process(&mut self, m: &mut M, unit: &mut UnitBuf) {
         self.a.process(m, unit);
         self.b.process(m, unit);

@@ -2,35 +2,44 @@
 //!
 //! A [`UnitBuf`] holds one exchange unit (`Le` bytes, at most
 //! [`crate::units::MAX_EXCHANGE_UNIT`]) while it travels through the
-//! fused stages of an ILP loop. It is a small fixed array that the
-//! optimiser keeps in registers — the buffer itself never touches the
-//! instrumented memory, which is the whole point: in the paper's ideal
-//! ILP, "all the other operations should work on registers".
+//! fused stages of an ILP loop. It is a small fixed array of 32-bit
+//! words that the optimiser keeps in registers — the buffer itself never
+//! touches the instrumented memory, which is the whole point: in the
+//! paper's ideal ILP, "all the other operations should work on
+//! registers".
+//!
+//! The words are held as values, not as a big-endian byte array: word
+//! sources, the block-cipher view ([`UnitBuf::chunk64`]) and the
+//! checksum all deal in words, so a word array lets every hand-over be a
+//! register move. Byte views shift the big-endian byte out of its word.
 
 use crate::units::MAX_EXCHANGE_UNIT;
 
 /// One exchange unit in flight between fused stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitBuf {
-    bytes: [u8; MAX_EXCHANGE_UNIT],
+    words: [u32; MAX_EXCHANGE_UNIT / 4],
     len: usize,
 }
 
 impl UnitBuf {
     /// An empty unit of capacity `len` bytes (must be a multiple of 4 —
     /// word filters deal in words — and at most the register budget).
+    #[inline(always)]
     pub fn new(len: usize) -> Self {
         assert!(len > 0 && len <= MAX_EXCHANGE_UNIT, "bad exchange unit {len}");
         assert_eq!(len % 4, 0, "exchange unit must be whole words");
-        UnitBuf { bytes: [0; MAX_EXCHANGE_UNIT], len }
+        UnitBuf { words: [0; MAX_EXCHANGE_UNIT / 4], len }
     }
 
     /// Unit length in bytes.
+    #[inline(always)]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Unit length in 32-bit words.
+    #[inline(always)]
     pub fn words(&self) -> usize {
         self.len / 4
     }
@@ -40,23 +49,24 @@ impl UnitBuf {
         false
     }
 
-    /// Read word `i` (big-endian).
+    /// The unit's words, in wire order.
+    #[inline(always)]
+    pub fn as_words(&self) -> &[u32] {
+        &self.words[..self.len / 4]
+    }
+
+    /// Read word `i` (the big-endian value of wire bytes `4i..4i+4`).
     #[inline(always)]
     pub fn word(&self, i: usize) -> u32 {
         debug_assert!(i < self.words());
-        u32::from_be_bytes([
-            self.bytes[4 * i],
-            self.bytes[4 * i + 1],
-            self.bytes[4 * i + 2],
-            self.bytes[4 * i + 3],
-        ])
+        self.words[i]
     }
 
-    /// Overwrite word `i` (big-endian).
+    /// Overwrite word `i`.
     #[inline(always)]
     pub fn set_word(&mut self, i: usize, w: u32) {
         debug_assert!(i < self.words());
-        self.bytes[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        self.words[i] = w;
     }
 
     /// Read the 8-byte chunk starting at word `2 * i` as a u64
@@ -73,14 +83,15 @@ impl UnitBuf {
         self.set_word(2 * i + 1, v as u32);
     }
 
-    /// Byte view (for grain-1 stores).
+    /// Byte view (for grain-1 stores): wire byte `i` of the unit.
     #[inline(always)]
     pub fn byte(&self, i: usize) -> u8 {
         debug_assert!(i < self.len);
-        self.bytes[i]
+        (self.words[i / 4] >> (24 - 8 * (i % 4))) as u8
     }
 
     /// Number of 8-byte chunks (valid only for 8/16-byte units).
+    #[inline(always)]
     pub fn chunks64(&self) -> usize {
         self.len / 8
     }
@@ -117,6 +128,17 @@ mod tests {
         u.set_word(0, 0xCAFEBABE);
         assert_eq!(u.byte(0), 0xCA);
         assert_eq!(u.byte(3), 0xBE);
+    }
+
+    #[test]
+    fn as_words_covers_exactly_the_unit() {
+        let mut u = UnitBuf::new(12);
+        u.set_word(0, 1);
+        u.set_word(1, 2);
+        u.set_word(2, 3);
+        assert_eq!(u.as_words(), &[1, 2, 3]);
+        assert_eq!(u.byte(11), 3);
+        assert_eq!(u.byte(8), 0);
     }
 
     #[test]

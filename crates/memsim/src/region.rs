@@ -78,10 +78,23 @@ impl Region {
     ///
     /// # Panics
     /// Panics if `off >= self.len`.
+    #[inline(always)]
     pub fn at(&self, off: usize) -> usize {
-        assert!(off < self.len, "offset {off} out of region {} (len {})", self.name, self.len);
+        if off >= self.len {
+            out_of_region(self.name, off, self.len);
+        }
         self.base + off
     }
+}
+
+/// The panic of [`Region::at`], kept out of line and passed only values:
+/// a fused loop that inlines `at` per byte then neither carries the
+/// formatting code nor hands the panic a pointer into its own state
+/// (which would stop the optimiser keeping that state in registers).
+#[cold]
+#[inline(never)]
+fn out_of_region(name: &'static str, off: usize, len: usize) -> ! {
+    panic!("offset {off} out of region {name} (len {len})")
 }
 
 #[cfg(test)]

@@ -132,10 +132,7 @@ impl<M: Mem> WordSource<M> for TrailerSource {
         if remaining >= 4 {
             Some(m.read_u32_be(self.msg.data_addr + off))
         } else {
-            let mut w = 0u32;
-            for k in 0..remaining {
-                w |= u32::from(m.read_u8(self.msg.data_addr + off + k)) << (24 - 8 * k);
-            }
+            let w = xdr::runtime::read_partial_word(m, self.msg.data_addr + off, remaining);
             m.compute(remaining as u32);
             Some(w)
         }
@@ -220,21 +217,7 @@ impl<M: Mem> UnitSink<M> for TrailerUnmarshalSink {
             let offset = self.rpc[2] as usize;
             let want = (declared - self.data_written).min(4);
             assert!(offset + self.data_written + want <= self.app_cap, "chunk overruns file");
-            let base = self.app_addr + offset + self.data_written;
-            match grain {
-                StoreGrain::Byte => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
-                }
-                StoreGrain::Word if want == 4 => m.write_u32_be(base, w),
-                StoreGrain::Word => {
-                    for k in 0..want {
-                        m.write_u8(base + k, (w >> (24 - 8 * k)) as u8);
-                    }
-                    m.compute(want as u32);
-                }
-            }
+            grain.store_word(m, self.app_addr + offset + self.data_written, w, want);
             self.data_written += want;
         }
     }

@@ -124,10 +124,7 @@ fn marshal_pass<C: CipherKernel, M: Mem>(
     }
     let tail = data_len - words * 4;
     if tail > 0 {
-        let mut w = 0u32;
-        for k in 0..tail {
-            w |= u32::from(m.read_u8(data_addr + words * 4 + k)) << (24 - 8 * k);
-        }
+        let w = xdr::runtime::read_partial_word(m, data_addr + words * 4, tail);
         m.compute(tail as u32 + 1);
         m.write_u32_be(out + PREFIX_BYTES + 4 * words, w);
     }

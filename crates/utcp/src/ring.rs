@@ -274,27 +274,18 @@ impl RingWriter {
 }
 
 impl<M: Mem> UnitSink<M> for RingWriter {
+    #[inline(always)]
     fn store(&mut self, m: &mut M, unit: &UnitBuf, grain: StoreGrain) {
+        // The message takes copies, not field references: a panic that
+        // borrowed the writer would stop the optimiser keeping it in
+        // registers across the fused loop's stores.
+        let (written, len) = (self.written, self.len);
         assert!(
-            self.written + unit.len() <= self.len,
-            "ILP loop overran its ring extent ({} + {} > {})",
-            self.written,
-            unit.len(),
-            self.len
+            written + unit.len() <= len,
+            "ILP loop overran its ring extent ({written} + {} > {len})",
+            unit.len()
         );
-        let base = self.base + self.written;
-        match grain {
-            StoreGrain::Byte => {
-                for i in 0..unit.len() {
-                    m.write_u8(base + i, unit.byte(i));
-                }
-            }
-            StoreGrain::Word => {
-                for i in 0..unit.words() {
-                    m.write_u32_be(base + 4 * i, unit.word(i));
-                }
-            }
-        }
+        grain.store_unit(m, self.base + written, unit);
         self.written += unit.len();
     }
 }

@@ -54,6 +54,20 @@ pub fn pad4(len: usize) -> usize {
     (len + 3) & !3
 }
 
+/// Read the `len` (< 4) bytes at `addr` as the leading bytes of a
+/// big-endian word, zero-padded: the final, partial word of an opaque
+/// item. One 1-byte read per byte; the packing is register work the
+/// caller accounts for.
+#[inline(always)]
+pub fn read_partial_word<M: Mem>(m: &mut M, addr: usize, len: usize) -> u32 {
+    debug_assert!(len < 4);
+    let mut bytes = [0u8; 4];
+    for (i, b) in bytes.iter_mut().enumerate().take(len) {
+        *b = m.read_u8(addr + i);
+    }
+    u32::from_be_bytes(bytes)
+}
+
 /// Sequential XDR encoder writing at a memory address.
 #[derive(Debug)]
 pub struct XdrEncoder<'m, M: Mem> {
@@ -109,11 +123,7 @@ impl<'m, M: Mem> XdrEncoder<'m, M> {
         let tail = len - words * 4;
         if tail > 0 {
             // Assemble the final word in a register: tail bytes + zeros.
-            let mut w = 0u32;
-            for i in 0..tail {
-                let b = self.mem.read_u8(src + words * 4 + i);
-                w |= u32::from(b) << (24 - 8 * i);
-            }
+            let w = read_partial_word(self.mem, src + words * 4, tail);
             self.mem.compute(tail as u32);
             self.mem.write_u32_be(self.cursor, w);
             self.cursor += 4;

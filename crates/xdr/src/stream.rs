@@ -96,6 +96,7 @@ impl OpaqueSource {
 }
 
 impl<M: Mem> WordSource<M> for OpaqueSource {
+    #[inline(always)]
     fn next_word(&mut self, m: &mut M) -> Option<u32> {
         if self.off >= self.len {
             return None;
@@ -105,10 +106,7 @@ impl<M: Mem> WordSource<M> for OpaqueSource {
             m.read_u32_be(self.addr + self.off)
         } else {
             // Partial tail word: gather bytes, zero-pad (register work).
-            let mut w = 0u32;
-            for i in 0..remaining {
-                w |= u32::from(m.read_u8(self.addr + self.off + i)) << (24 - 8 * i);
-            }
+            let w = crate::runtime::read_partial_word(m, self.addr + self.off, remaining);
             m.compute(remaining as u32);
             w
         };
